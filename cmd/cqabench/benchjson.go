@@ -568,10 +568,10 @@ func kernelBenchmarks() []struct {
 			}
 			qs := q.String()
 			co, err := cluster.New(cluster.Config{
-				SnapshotPath: snapPath,
-				Query:        qs,
-				Peers:        peers,
-				ShardDir:     filepath.Join(dir, "shards"),
+				Config:   server.Config{SnapshotPath: snapPath},
+				Query:    qs,
+				Peers:    peers,
+				ShardDir: filepath.Join(dir, "shards"),
 			})
 			if err != nil {
 				b.Fatal(err)

@@ -105,6 +105,9 @@
 // before the merge, so answers are bit-identical to the single-node
 // daemon or a structured error, never a miscount. A down worker degrades
 // probes to exact local counting until the maintenance loop heals it.
+// coordinate runs serve's daemon with the fleet as its count backend, so
+// it takes serve's flags (-probs included) and answers every endpoint
+// serve does.
 //
 //	repairctl worker -dir w0/ -addr :9101
 //	repairctl worker -dir w1/ -addr :9102
@@ -321,7 +324,7 @@ func run(args []string, stdout io.Writer) error {
 		serveWorkers = fs.Int("serve-workers", 0, "probe worker slots for serve (0 = GOMAXPROCS)")
 		cacheEntries = fs.Int("cache-entries", server.DefaultCacheEntries,
 			"bound on the serve/coordinate probe cache (compiled counters, admissions, results); 0 disables it")
-		probsPath = fs.String("probs", "", "per-fact probability annotation file for serve's /v1/prob endpoint (weight<TAB>Fact lines, e.g. from workloadgen -kind prob-stream)")
+		probsPath = fs.String("probs", "", "per-fact probability annotation file for the /v1/prob endpoint of serve and coordinate (weight<TAB>Fact lines, e.g. from workloadgen -kind prob-stream)")
 
 		workerDir    = fs.String("dir", "", "worker state directory (required for worker; holds the assignment sidecar)")
 		peers        = fs.String("peers", "", "comma-separated worker base URLs for coordinate")
@@ -366,7 +369,7 @@ func run(args []string, stdout io.Writer) error {
 			return err
 		}
 		defer w.Close()
-		return serveHandler(stdout, *addr, w.Handler())
+		return listen(stdout, *addr, w.Handler())
 	}
 
 	if *dbPath == "" {
@@ -380,14 +383,14 @@ func run(args []string, stdout io.Writer) error {
 		return applyOps(stdout, *dbPath, *opsPath)
 	case "compact":
 		return compact(stdout, *dbPath, *out)
-	case "serve":
-		// For apply, -ops defaults to stdin; the daemon tails a file, so
+	case "serve", "coordinate":
+		// For apply, -ops defaults to stdin; the daemons tail a file, so
 		// "-" means no update stream.
 		ops := *opsPath
 		if ops == "-" {
 			ops = ""
 		}
-		return serve(stdout, *addr, server.Config{
+		cfg := server.Config{
 			SnapshotPath: *dbPath,
 			OpsPath:      ops,
 			Workers:      *serveWorkers,
@@ -402,47 +405,35 @@ func run(args []string, stdout io.Writer) error {
 			CompactBytes: *compactBytes,
 			CacheEntries: configCacheEntries(*cacheEntries),
 			ProbsPath:    *probsPath,
-		})
-	case "coordinate":
-		if *queryStr == "" {
+		}
+		if cmd == "serve" {
+			s, err := server.New(cfg)
+			if err != nil {
+				return err
+			}
+			return serveDaemon(stdout, *addr, cfg.SnapshotPath, s)
+		}
+		switch {
+		case *queryStr == "":
 			return fmt.Errorf("coordinate: -query is required")
-		}
-		if *peers == "" {
+		case *peers == "":
 			return fmt.Errorf("coordinate: -peers is required")
-		}
-		if *shardDir == "" {
+		case *shardDir == "":
 			return fmt.Errorf("coordinate: -shard-dir is required")
 		}
-		ops := *opsPath
-		if ops == "-" {
-			ops = ""
-		}
 		co, err := cluster.New(cluster.Config{
-			SnapshotPath: *dbPath,
+			Config:       cfg,
 			Query:        *queryStr,
 			Peers:        strings.Split(*peers, ","),
 			ShardDir:     *shardDir,
-			OpsPath:      ops,
-			Workers:      *serveWorkers,
-			CountWorkers: serveCountWorkers(*workers),
-			Deadline:     *deadline,
-			ExactBudget:  *exactBudget,
-			MaxSamples:   *maxSamples,
-			Eps:          *eps,
-			Delta:        *delta,
-			Seed:         *seed,
-			Poll:         *poll,
-			CompactBytes: *compactBytes,
 			Retries:      *retries,
 			RetryBackoff: *retryBackoff,
 			HedgeAfter:   *hedgeAfter,
-			CacheEntries: configCacheEntries(*cacheEntries),
 		})
 		if err != nil {
 			return err
 		}
-		defer co.Close()
-		return serveHandler(stdout, *addr, co.Handler())
+		return serveDaemon(stdout, *addr, cfg.SnapshotPath, co)
 	}
 
 	src, err := openInstance(*dbPath)
@@ -809,30 +800,29 @@ func analyze(stdout io.Writer, counter *repaircount.Counter, eps, delta float64)
 	return nil
 }
 
-// serve runs the probe daemon on a snapshot until SIGINT/SIGTERM: the
-// listen address is printed first (parse it when -addr ends in :0), and
-// shutdown drains in-flight probes before the snapshot is unmapped.
-func serve(stdout io.Writer, addr string, cfg server.Config) error {
-	s, err := server.New(cfg)
-	if err != nil {
-		return err
-	}
-	defer s.Close()
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "listening on http://%s\n", ln.Addr())
-	if dropped := s.Recovered(); dropped > 0 {
-		fmt.Fprintf(stdout, "recovered %s: dropped %d torn journal bytes\n", cfg.SnapshotPath, dropped)
-	}
-	return serveUntilSignal(ln, s.Handler())
+// daemon is what serve and coordinate run: a server.Server, alone or
+// embedded in the fleet coordinator.
+type daemon interface {
+	Handler() http.Handler
+	Recovered() int64
+	Close() error
 }
 
-// serveHandler is the listen half of serve for the cluster roles, which
-// build their own handler: print the bound address, then serve until
-// SIGINT/SIGTERM.
-func serveHandler(stdout io.Writer, addr string, h http.Handler) error {
+// serveDaemon reports torn journal bytes dropped at startup, then serves
+// d until SIGINT/SIGTERM; shutdown drains in-flight probes before the
+// snapshot is unmapped.
+func serveDaemon(stdout io.Writer, addr, path string, d daemon) error {
+	defer d.Close()
+	if dropped := d.Recovered(); dropped > 0 {
+		fmt.Fprintf(stdout, "recovered %s: dropped %d torn journal bytes\n", path, dropped)
+	}
+	return listen(stdout, addr, d.Handler())
+}
+
+// listen prints the bound address (parse it when -addr ends in :0), then
+// serves h until SIGINT/SIGTERM. Tests replace it to drive a daemon's
+// handler in-process.
+var listen = func(stdout io.Writer, addr string, h http.Handler) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err

@@ -1,14 +1,20 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
 	"testing"
+
+	"repaircount/internal/cluster"
 )
 
 func writeExampleDB(t *testing.T) string {
@@ -532,5 +538,60 @@ func TestCountWorkersFlag(t *testing.T) {
 		if !strings.HasPrefix(out, "2\t") {
 			t.Fatalf("-exact %q -workers 2: output %q", exact, out)
 		}
+	}
+}
+
+// coordinate takes the daemon flags serve takes: with -probs it answers
+// /v1/prob with the same interval serve answers over the same snapshot,
+// and that interval is not the uniform one a dropped -probs would serve.
+func TestCoordinateServesProbs(t *testing.T) {
+	dir := t.TempDir()
+	probs := filepath.Join(dir, "weights.probs")
+	if err := os.WriteFile(probs, []byte("0.9\tEmployee(1, Bob, HR)\n0.2\tEmployee(2, Tim, IT)\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db := writeExampleDB(t)
+	snapshot := func(name string) string {
+		path := filepath.Join(dir, name)
+		runCmd(t, "build", "-db", db, "-o", path)
+		return path
+	}
+	w, err := cluster.NewWorker(cluster.WorkerConfig{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer := httptest.NewServer(w.Handler())
+	t.Cleanup(func() {
+		peer.Close()
+		w.Close()
+	})
+
+	// Drive each daemon's handler in-process instead of listening.
+	defer func(orig func(io.Writer, string, http.Handler) error) { listen = orig }(listen)
+	var interval string
+	listen = func(_ io.Writer, _ string, h http.Handler) error {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/prob?q="+url.QueryEscape(exampleQuery), nil))
+		var body struct {
+			Lo float64 `json:"prob_lo"`
+			Hi float64 `json:"prob_hi"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || rec.Code != http.StatusOK {
+			return fmt.Errorf("prob probe: HTTP %d %s (%v)", rec.Code, rec.Body, err)
+		}
+		interval = fmt.Sprintf("[%v, %v]", body.Lo, body.Hi)
+		return nil
+	}
+	runCmd(t, "serve", "-db", snapshot("uniform.cqs"), "-addr", "127.0.0.1:0")
+	uniform := interval
+	runCmd(t, "serve", "-db", snapshot("serve.cqs"), "-probs", probs, "-addr", "127.0.0.1:0")
+	served := interval
+	runCmd(t, "coordinate", "-db", snapshot("coord.cqs"), "-probs", probs, "-query", exampleQuery,
+		"-peers", peer.URL, "-shard-dir", filepath.Join(dir, "shards"), "-addr", "127.0.0.1:0")
+	if interval != served {
+		t.Fatalf("coordinate -probs answered %s, serve -probs %s", interval, served)
+	}
+	if served == uniform {
+		t.Fatalf("-probs did not move the interval off the uniform %s", uniform)
 	}
 }

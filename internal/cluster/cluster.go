@@ -5,6 +5,15 @@
 // bit-identical to the unsharded engine or a structured error — the
 // topology is a throughput lever, never an approximation.
 //
+// The coordinator serves through the same probe pipeline as the
+// single-node daemon: it embeds a server.Server and plugs into it as a
+// count backend (server.Backend). The server owns every endpoint, the
+// admission ladder, the probe cache, the ops tail, journaling and
+// compaction; this package supplies the rest — fan-out with partial
+// verification and placement validation (fanout.go), delta routing and
+// streaming to the workers (stream.go), re-sharding and worker
+// reload/heal (coordinator.go), and the shard worker itself (worker.go).
+//
 // # Wire format
 //
 // Workers and coordinator speak HTTP/JSON, except for partials, which
@@ -33,12 +42,13 @@
 //
 // An epoch is one sharding of the coordinator's sealed snapshot. Its
 // authoritative identity is the manifest digest (the CQSM trailer CRC);
-// the numeric epoch exists for observability and cheap comparison. The
-// coordinator bumps the epoch exactly when it re-shards — at startup and
-// on journal compaction — writing fresh shard snapshots plus a manifest
-// under ShardDir/epoch-N/ and swinging the fleet via /v1/reload. The
-// swing is atomic with respect to probes: re-sharding holds the write
-// side of the substrate lock, so in-flight probes drain against the old
+// the numeric epoch exists for observability and cheap comparison, and
+// it is the server's substrate epoch. The coordinator re-shards exactly
+// when the epoch moves — at startup (epoch 1) and after every journal
+// compaction — writing fresh shard snapshots plus a manifest under
+// ShardDir/epoch-N/ and swinging the fleet via /v1/reload. The swing is
+// atomic with respect to probes: the server re-shards under the write
+// side of its substrate lock, so in-flight probes drain against the old
 // epoch before the manifest moves, and every later probe fans out under
 // the new one.
 //
@@ -76,19 +86,9 @@
 package cluster
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
-	"net/http"
-	"time"
 )
-
-// contextWithTimeout derives a probe context from the request, bounded
-// by the configured wall-clock deadline: client disconnects and the
-// deadline both cancel the count through core.Stop.
-func contextWithTimeout(r *http.Request, d time.Duration) (context.Context, context.CancelFunc) {
-	return context.WithTimeout(r.Context(), d)
-}
 
 // applyResponse acknowledges one delta batch: the worker's epoch and its
 // instance version after the batch was applied and journaled.

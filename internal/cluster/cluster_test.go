@@ -11,6 +11,7 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -18,6 +19,7 @@ import (
 	"repaircount"
 	"repaircount/internal/cluster"
 	"repaircount/internal/relational"
+	"repaircount/internal/server"
 	"repaircount/internal/store"
 	"repaircount/internal/workload"
 )
@@ -193,10 +195,10 @@ func TestDifferentialFanout(t *testing.T) {
 					path := writeSnapshot(t, t.TempDir(), db, ks)
 					peers := startWorkers(t, k)
 					_, ts := startCoordinator(t, cluster.Config{
-						SnapshotPath: path,
-						Query:        qs,
-						Peers:        peers,
-						ShardDir:     t.TempDir(),
+						Config:   server.Config{SnapshotPath: path},
+						Query:    qs,
+						Peers:    peers,
+						ShardDir: t.TempDir(),
 					})
 					status, body, _ := get(t, ts, countURL(qs))
 					if status != http.StatusOK {
@@ -231,12 +233,14 @@ func TestDifferentialAfterDeltas(t *testing.T) {
 
 	peers := startWorkers(t, 4)
 	_, ts := startCoordinator(t, cluster.Config{
-		SnapshotPath: path,
-		Query:        qs,
-		Peers:        peers,
-		ShardDir:     t.TempDir(),
-		OpsPath:      opsPath,
-		CompactBytes: -1, // no re-shard: the delta stream itself is under test
+		Config: server.Config{
+			SnapshotPath: path,
+			OpsPath:      opsPath,
+			CompactBytes: -1, // no re-shard: the delta stream itself is under test
+		},
+		Query:    qs,
+		Peers:    peers,
+		ShardDir: t.TempDir(),
 	})
 
 	// Pre-delta: fleet-served and exact.
@@ -305,12 +309,14 @@ func TestReshardOnCompaction(t *testing.T) {
 
 	peers := startWorkers(t, 4)
 	_, ts := startCoordinator(t, cluster.Config{
-		SnapshotPath: path,
-		Query:        qs,
-		Peers:        peers,
-		ShardDir:     t.TempDir(),
-		OpsPath:      opsPath,
-		CompactBytes: 1, // any journal byte triggers a re-shard
+		Config: server.Config{
+			SnapshotPath: path,
+			OpsPath:      opsPath,
+			CompactBytes: 1, // any journal byte triggers a re-shard
+		},
+		Query:    qs,
+		Peers:    peers,
+		ShardDir: t.TempDir(),
 	})
 
 	rng := rand.New(rand.NewPCG(11, 12))
@@ -370,10 +376,10 @@ func TestNonPartitionQueryServedLocally(t *testing.T) {
 	path := writeSnapshot(t, t.TempDir(), db, ks)
 	peers := startWorkers(t, 2)
 	_, ts := startCoordinator(t, cluster.Config{
-		SnapshotPath: path,
-		Query:        qs,
-		Peers:        peers,
-		ShardDir:     t.TempDir(),
+		Config:   server.Config{SnapshotPath: path},
+		Query:    qs,
+		Peers:    peers,
+		ShardDir: t.TempDir(),
 	})
 
 	const other = "exists x, y . C0(x, y)"
@@ -388,5 +394,75 @@ func TestNonPartitionQueryServedLocally(t *testing.T) {
 	_, st, _ := get(t, ts, "/v1/stats")
 	if st["fanout_probes"] != float64(0) {
 		t.Fatalf("fleet served a non-partition query: %v", st)
+	}
+	if st["local_fallback"] != float64(0) {
+		t.Fatalf("a non-partition query counted as a local fallback: %v", st)
+	}
+}
+
+// TestCoordinatorMatchesSingleNode pins the coordinator's shared probe
+// pipeline to a single-node server.Server over copies of the same
+// snapshot and annotation file: /v1/prob, /v1/rank, /v1/decide,
+// /v1/total and /v1/explain answer with equal values for the partition
+// query and a local one. Only explain may add the fleet's keys, and
+// "epoch" is left out: it counts each daemon's own substrate generations,
+// and the coordinator's first shard cut is epoch 1.
+func TestCoordinatorMatchesSingleNode(t *testing.T) {
+	db, ks, q := workload.MultiComponent(4, 6, 2)
+	qs := q.String()
+	dir := t.TempDir()
+	probs := filepath.Join(dir, "weights.probs")
+	var sb strings.Builder
+	if err := workload.FormatProbAnnotations(&sb, workload.ProbStream(rand.New(rand.NewPCG(5, 6)), db)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(probs, []byte(sb.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	single, err := server.New(server.Config{SnapshotPath: writeSnapshot(t, t.TempDir(), db, ks), ProbsPath: probs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := httptest.NewServer(single.Handler())
+	t.Cleanup(func() {
+		ref.Close()
+		single.Close()
+	})
+	_, co := startCoordinator(t, cluster.Config{
+		Config:   server.Config{SnapshotPath: writeSnapshot(t, t.TempDir(), db, ks), ProbsPath: probs},
+		Query:    qs,
+		Peers:    startWorkers(t, 2),
+		ShardDir: t.TempDir(),
+	})
+
+	fleetKeys := map[string]bool{"fanout": true, "fanout_reason": true, "fleet_cost": true}
+	for _, qtext := range []string{qs, "C0('k0', 'v0')"} {
+		esc := url.QueryEscape(qtext)
+		for _, p := range []string{
+			"/v1/prob?q=" + esc,
+			"/v1/decide?q=" + esc,
+			"/v1/explain?q=" + esc,
+			"/v1/rank?q=" + url.QueryEscape("exists y . C0(x, y)"),
+			"/v1/total",
+		} {
+			ws, want, _ := get(t, ref, p)
+			gs, got, _ := get(t, co, p)
+			if ws != http.StatusOK || gs != http.StatusOK {
+				t.Fatalf("%s: single node %d %v, coordinator %d %v", p, ws, want, gs, got)
+			}
+			delete(want, "epoch")
+			delete(got, "epoch")
+			for k, v := range got {
+				if _, ok := want[k]; !ok && !(strings.HasPrefix(p, "/v1/explain") && fleetKeys[k]) {
+					t.Fatalf("%s: coordinator added key %q=%v; single node %v", p, k, v, want)
+				}
+			}
+			for k, v := range want {
+				if !reflect.DeepEqual(got[k], v) {
+					t.Fatalf("%s: %q is %v on the coordinator, %v on a single node", p, k, got[k], v)
+				}
+			}
+		}
 	}
 }

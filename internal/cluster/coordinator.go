@@ -9,13 +9,11 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repaircount"
-	"repaircount/internal/core"
 	"repaircount/internal/repairs"
 	"repaircount/internal/server"
 	"repaircount/internal/workload"
@@ -24,10 +22,13 @@ import (
 // Config parameterizes a Coordinator. Zero values select the documented
 // defaults.
 type Config struct {
-	// SnapshotPath is the full .cqs snapshot the coordinator owns
-	// (required). It is recovered and, when journaled, compacted before
-	// the first shard cut.
-	SnapshotPath string
+	// Config holds the serving daemon's settings, which behave exactly as
+	// in internal/server: the coordinator serves through a server.Server.
+	// SnapshotPath is the full snapshot the coordinator owns; CompactBytes
+	// triggers a compaction and with it a full re-shard; CacheEntries < 0
+	// also turns off the per-worker partial cache that lets an unchanged
+	// shard skip its re-count on fan-out.
+	server.Config
 	// Query is the partition query (required): the one query whose counts
 	// fan out to the fleet. Other probes are served locally.
 	Query string
@@ -37,23 +38,6 @@ type Config struct {
 	// ShardDir receives one epoch-N directory of shard snapshots plus
 	// manifest per re-shard (required).
 	ShardDir string
-	// OpsPath, when set, is the append-only update stream to tail; the
-	// consumed offset persists in OpsPath + ".offset".
-	OpsPath string
-	// Workers, CountWorkers, QueueDepth, Deadline, ExactBudget,
-	// MaxSamples, Eps, Delta, Seed, Poll and CompactBytes behave exactly
-	// as in the single-node daemon (internal/server.Config); CompactBytes
-	// here triggers a full re-shard, not just a compaction.
-	Workers      int
-	CountWorkers int
-	QueueDepth   int
-	Deadline     time.Duration
-	ExactBudget  int64
-	MaxSamples   int64
-	Eps, Delta   float64
-	Seed         uint64
-	Poll         time.Duration
-	CompactBytes int64
 	// Retries is the attempt count per shard fetch (default 3).
 	Retries int
 	// RetryBackoff is the initial inter-attempt backoff, doubling each
@@ -64,47 +48,10 @@ type Config struct {
 	// abandon-and-refire hedging — the slow request is canceled, not
 	// raced.
 	HedgeAfter time.Duration
-	// CacheEntries bounds the shared probe cache, exactly as in
-	// internal/server.Config: 0 selects the default, < 0 disables it. It
-	// also gates the per-worker partial cache that lets an unchanged
-	// shard skip its re-count on fan-out.
-	CacheEntries int
 }
 
 func (cfg *Config) fill() {
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.CountWorkers <= 0 {
-		cfg.CountWorkers = 1
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 4 * cfg.Workers
-	}
-	if cfg.Deadline <= 0 {
-		cfg.Deadline = 30 * time.Second
-	}
-	if cfg.ExactBudget <= 0 {
-		cfg.ExactBudget = int64(repairs.DefaultEnumBudget)
-	}
-	if cfg.MaxSamples <= 0 {
-		cfg.MaxSamples = core.MaxApxSamples
-	}
-	if cfg.Eps <= 0 {
-		cfg.Eps = 0.1
-	}
-	if cfg.Delta <= 0 {
-		cfg.Delta = 0.05
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	if cfg.Poll <= 0 {
-		cfg.Poll = 200 * time.Millisecond
-	}
-	if cfg.CompactBytes == 0 {
-		cfg.CompactBytes = 1 << 20
-	}
+	cfg.Config.Fill()
 	if cfg.Retries <= 0 {
 		cfg.Retries = 3
 	}
@@ -135,26 +82,27 @@ type workerState struct {
 }
 
 // Coordinator owns the full snapshot, the manifest of the current epoch
-// and the ops tail, and serves the probe API by fanning the partition
-// query out to the worker fleet. Probes take the read side of mu; the
-// ops applier and the re-sharder take the write side, so in-flight
-// probes drain before any epoch swing.
+// and the ops tail, and serves the probe API through its embedded
+// server.Server, for which it is the count backend: the partition query
+// fans out to the worker fleet. The server's substrate lock orders
+// everything: probes run under its read side, while the ops applier and
+// the re-sharder run under its write side, so in-flight probes drain
+// before any epoch swing.
 type Coordinator struct {
+	*server.Server
 	cfg    Config
-	ladder server.Ladder
 	client *http.Client
-	pool   *server.Pool
-	cache  *server.ProbeCache // nil when CacheEntries < 0
 
-	mu      sync.RWMutex
-	snap    *repaircount.Snapshot
-	query   repaircount.Formula
-	qs      string // canonical partition-query text
-	baseLen int64
+	query repaircount.Formula
+	qs    string // canonical partition-query text
+
+	// snap is the server's snapshot, handed over by Reshard under the
+	// server's write lock and read by probes under its read lock.
+	snap *repaircount.Snapshot
 
 	// fmu guards the fleet book and the shard-set identity. The epoch and
-	// shard set only move under mu's write side AND fmu, so holders of
-	// either read a consistent epoch.
+	// shard set only move under the server's write lock AND fmu, so
+	// holders of either read a consistent epoch.
 	fmu      sync.Mutex
 	epoch    uint64
 	shards   *repaircount.ShardSet
@@ -164,23 +112,13 @@ type Coordinator struct {
 	fan      *fanPlan             // cached validation for (epoch, version)
 	parts    []partialMemo        // per-worker verified-partial cache, keyed (epoch, ack)
 
-	degradedReason atomic.Pointer[string]
-
-	appliedOps atomic.Int64
-	journaled  atomic.Int64
-	recovered  int64
-
 	stats struct {
-		probes, exact, approx, rejected, overloaded, deadline atomic.Int64
-		fanouts, localFallback, integrity, reshards           atomic.Int64
-		partialHits                                           atomic.Int64
+		fanouts, localFallback, integrity, reshards, partialHits atomic.Int64
 	}
 
-	tailer    *server.Tailer
 	flushCh   chan struct{}
 	stop      chan struct{}
 	stopOnce  sync.Once
-	tailDone  chan struct{}
 	flushDone chan struct{}
 	maintDone chan struct{}
 }
@@ -206,116 +144,49 @@ func New(cfg Config) (*Coordinator, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: partition query: %w", err)
 	}
-	recovered, err := repaircount.RecoverSnapshot(cfg.SnapshotPath)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: recovering %s: %w", cfg.SnapshotPath, err)
-	}
-	snap, err := repaircount.OpenSnapshot(cfg.SnapshotPath)
-	if err != nil {
-		return nil, err
-	}
 	c := &Coordinator{
 		cfg:       cfg,
-		ladder:    server.Ladder{ExactBudget: cfg.ExactBudget, MaxSamples: cfg.MaxSamples, Eps: cfg.Eps, Delta: cfg.Delta},
 		client:    &http.Client{},
-		pool:      server.NewPool(cfg.Workers, cfg.QueueDepth),
-		snap:      snap,
 		query:     q,
 		qs:        fmt.Sprintf("%s", q),
-		recovered: recovered,
+		fleet:     make([]*workerState, len(cfg.Peers)),
+		parts:     make([]partialMemo, len(cfg.Peers)),
 		flushCh:   make(chan struct{}, 1),
 		stop:      make(chan struct{}),
-		tailDone:  make(chan struct{}),
 		flushDone: make(chan struct{}),
 		maintDone: make(chan struct{}),
 	}
-	if cfg.CacheEntries >= 0 {
-		c.cache = server.NewProbeCache(cfg.CacheEntries)
-	}
-	c.fleet = make([]*workerState, len(cfg.Peers))
-	c.parts = make([]partialMemo, len(cfg.Peers))
 	for i, u := range cfg.Peers {
 		c.fleet[i] = &workerState{url: u}
 	}
-	c.mu.Lock()
-	err = c.reshardLocked()
-	c.mu.Unlock()
-	if err != nil {
-		snap.Close()
+	if c.Server, err = server.NewWithBackend(cfg.Config, c); err != nil {
 		return nil, err
-	}
-	if cfg.OpsPath != "" {
-		c.tailer = &server.Tailer{
-			OpsPath:    cfg.OpsPath,
-			OffsetPath: cfg.OpsPath + ".offset",
-			Poll:       cfg.Poll,
-			Apply:      c.applyBatch,
-		}
-		go c.tailLoop()
-	} else {
-		close(c.tailDone)
 	}
 	go c.flushLoop()
 	go c.maintainLoop()
 	return c, nil
 }
 
-// Close stops the tail, flusher and maintenance loops and unmaps the
-// snapshot. In-flight probes must have drained first. Safe to call twice.
+// Close stops the flusher and maintenance loops, then the server's ops
+// tail, and unmaps the snapshot. In-flight probes must have drained
+// first. Safe to call twice.
 func (c *Coordinator) Close() error {
 	c.stopOnce.Do(func() { close(c.stop) })
-	<-c.tailDone
 	<-c.flushDone
 	<-c.maintDone
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.snap == nil {
-		return nil
-	}
-	err := c.snap.Close()
-	c.snap = nil
-	return err
+	return c.Server.Close()
 }
 
-func (c *Coordinator) degrade(err error) {
-	msg := err.Error()
-	c.degradedReason.CompareAndSwap(nil, &msg)
-}
-
-func (c *Coordinator) degraded() string {
-	if p := c.degradedReason.Load(); p != nil {
-		return *p
-	}
-	return ""
-}
-
-// reshardLocked cuts a new epoch: compact the journal into the sealed
-// base if one accrued, re-plan the partition at the current version,
-// write fresh shard snapshots plus manifest under ShardDir/epoch-N/,
-// swing the fleet book (placement, acks, pending) to the new epoch, and
-// reload every worker. Caller holds c.mu's write side, so in-flight
-// probes have drained against the old epoch. Worker reload failures mark
-// the worker down — they never fail the re-shard, because the
-// coordinator can always count locally.
-func (c *Coordinator) reshardLocked() error {
-	if c.snap.JournalBytes() > 0 {
-		if err := repaircount.CompactSnapshot(c.cfg.SnapshotPath, c.cfg.SnapshotPath); err != nil {
-			return fmt.Errorf("cluster: compacting %s: %w", c.cfg.SnapshotPath, err)
-		}
-		snap, err := repaircount.OpenSnapshot(c.cfg.SnapshotPath)
-		if err != nil {
-			return err
-		}
-		old := c.snap
-		c.snap = snap
-		old.Close()
-	}
-	st, err := os.Stat(c.cfg.SnapshotPath)
-	if err != nil {
-		return err
-	}
-	c.baseLen = st.Size() - c.snap.JournalBytes()
-
+// Reshard is the server's re-shard hook (server.Backend): cut epoch over
+// snap, which the server has just compacted. It re-plans the partition
+// at the current version, writes fresh shard snapshots plus manifest
+// under ShardDir/epoch-N/, swings the fleet book (placement, acks,
+// pending) to the new epoch, and reloads every worker. The server holds
+// its write lock, so in-flight probes have drained against the old
+// epoch. Worker reload failures mark the worker down — they never fail
+// the re-shard, because the coordinator can always count locally.
+func (c *Coordinator) Reshard(snap *repaircount.Snapshot, epoch uint64) error {
+	c.snap = snap
 	counter, err := c.snap.Counter(c.query)
 	if err != nil {
 		return err
@@ -324,7 +195,6 @@ func (c *Coordinator) reshardLocked() error {
 	if err != nil {
 		return err
 	}
-	epoch := c.epoch + 1
 	dir := filepath.Join(c.cfg.ShardDir, fmt.Sprintf("epoch-%06d", epoch))
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -470,13 +340,5 @@ func (c *Coordinator) kickFlusher() {
 	select {
 	case c.flushCh <- struct{}{}:
 	default:
-	}
-}
-
-// tailLoop runs the ops tailer until Close or a write-path failure.
-func (c *Coordinator) tailLoop() {
-	defer close(c.tailDone)
-	if err := c.tailer.Run(c.stop); err != nil {
-		c.degrade(err)
 	}
 }

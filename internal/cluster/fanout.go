@@ -60,8 +60,8 @@ type fanPlan struct {
 }
 
 // currentFanPlan returns the fan-out validation for the current version,
-// rebuilding it if deltas moved the instance. Caller holds c.mu.RLock,
-// so the version cannot move underneath.
+// rebuilding it if deltas moved the instance. Caller holds the server's
+// read lock, so the version cannot move underneath.
 func (c *Coordinator) currentFanPlan() *fanPlan {
 	version := c.snap.Version()
 	c.fmu.Lock()
@@ -74,8 +74,8 @@ func (c *Coordinator) currentFanPlan() *fanPlan {
 }
 
 // buildFanPlanLocked re-factorizes at the current version and validates
-// the fresh partition against the physical placement. Caller holds
-// c.mu.RLock and c.fmu.
+// the fresh partition against the physical placement. Caller holds the
+// server's read lock and c.fmu.
 func (c *Coordinator) buildFanPlanLocked(version uint64) *fanPlan {
 	fp := &fanPlan{version: version, effOuter: big.NewInt(1)}
 	plan, err := c.pcounter.PlanShards(len(c.fleet))
@@ -145,10 +145,10 @@ func (c *Coordinator) buildFanPlanLocked(version uint64) *fanPlan {
 }
 
 // fleetView is a consistent copy of everything a fan-out needs, taken
-// under fmu at fan time. Because the probe holds c.mu.RLock, no delta
-// batch or re-shard can run concurrently; and because the view is only
-// taken when every pending queue is empty, the flusher has nothing to
-// flush, so acks are frozen too.
+// under fmu at fan time. Because the probe holds the server's read lock,
+// no delta batch or re-shard can run concurrently; and because the view
+// is only taken when every pending queue is empty, the flusher has
+// nothing to flush, so acks are frozen too.
 type fleetView struct {
 	epoch    uint64
 	manifest *store.Manifest
@@ -204,7 +204,7 @@ type partialMemo struct {
 // cachedPartial returns worker s's memoized partial when its stamps
 // match the frozen fleet view, nil otherwise.
 func (c *Coordinator) cachedPartial(s int, fv *fleetView) *store.PartialFile {
-	if c.cache == nil {
+	if c.cfg.CacheEntries < 0 {
 		return nil
 	}
 	c.fmu.Lock()
@@ -219,7 +219,7 @@ func (c *Coordinator) cachedPartial(s int, fv *fleetView) *store.PartialFile {
 // storePartials memoizes a fully verified partial set under the fleet
 // view's stamps. Only called after every partial passed the ladder.
 func (c *Coordinator) storePartials(fv *fleetView, parts []*store.PartialFile) {
-	if c.cache == nil {
+	if c.cfg.CacheEntries < 0 {
 		return
 	}
 	c.fmu.Lock()
@@ -231,16 +231,14 @@ func (c *Coordinator) storePartials(fv *fleetView, parts []*store.PartialFile) {
 
 // integrityError is a merge-safety violation: a partial that must not be
 // merged. It is never retried — the worker is marked stale and the probe
-// answers a structured 502.
-type integrityError struct {
-	code string // "stale_partial" or "foreign_partial"
-	err  error
+// answers a structured 502 with code "stale_partial" or
+// "foreign_partial".
+func integrityError(code string, err error) error {
+	return &server.StatusError{Status: http.StatusBadGateway, APIError: server.APIError{Code: code, Message: err.Error()}}
 }
 
-func (e *integrityError) Error() string { return e.err.Error() }
-
 // fanOut fetches, verifies and merges one partial per worker, returning
-// the rendered exact count; an *integrityError when a verified-stale or
+// the rendered exact count; an integrityError when a verified-stale or
 // foreign partial surfaced (502, never merged); or an availability
 // error when a worker stayed unreachable through the retry budget (the
 // caller falls back to local counting). Workers whose shard hasn't
@@ -312,19 +310,19 @@ func (c *Coordinator) fanOut(ctx context.Context, fv *fleetView, effOuter *big.I
 // the offline digest gate, then the epoch stamp, then the applied stamp.
 func (c *Coordinator) verifyPartial(fv *fleetView, s int, p *store.PartialFile) error {
 	if err := store.CheckPartial(fv.manifest, fv.mcrc, p); err != nil {
-		return &integrityError{code: "foreign_partial", err: err}
+		return integrityError("foreign_partial", err)
 	}
 	if p.Shard != s {
-		return &integrityError{code: "foreign_partial",
-			err: fmt.Errorf("worker %d returned a partial for shard %d", s, p.Shard)}
+		return integrityError("foreign_partial",
+			fmt.Errorf("worker %d returned a partial for shard %d", s, p.Shard))
 	}
 	if p.Epoch != fv.epoch {
-		return &integrityError{code: "stale_partial",
-			err: fmt.Errorf("worker %d answered under epoch %d, fleet is at %d", s, p.Epoch, fv.epoch)}
+		return integrityError("stale_partial",
+			fmt.Errorf("worker %d answered under epoch %d, fleet is at %d", s, p.Epoch, fv.epoch))
 	}
 	if p.Applied != fv.acks[s] {
-		return &integrityError{code: "stale_partial",
-			err: fmt.Errorf("worker %d counted at version %d, last acked delta was %d", s, p.Applied, fv.acks[s])}
+		return integrityError("stale_partial",
+			fmt.Errorf("worker %d counted at version %d, last acked delta was %d", s, p.Applied, fv.acks[s]))
 	}
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repaircount/internal/cluster"
+	"repaircount/internal/server"
 	"repaircount/internal/store"
 	"repaircount/internal/workload"
 )
@@ -92,10 +93,10 @@ func TestWorkerDownDegradesAndRecovers(t *testing.T) {
 	victim := startRestartable(t)
 	peers := append(startWorkers(t, 3), victim.url())
 	_, ts := startCoordinator(t, cluster.Config{
-		SnapshotPath: path,
-		Query:        qs,
-		Peers:        peers,
-		ShardDir:     t.TempDir(),
+		Config:   server.Config{SnapshotPath: path},
+		Query:    qs,
+		Peers:    peers,
+		ShardDir: t.TempDir(),
 	})
 
 	// Healthy fleet serves by fan-out.
@@ -116,6 +117,9 @@ func TestWorkerDownDegradesAndRecovers(t *testing.T) {
 	}
 	if body["engine"] != "local" {
 		t.Fatalf("expected a local fallback while a worker is down: %v", body)
+	}
+	if _, st, _ := get(t, ts, "/v1/stats"); st["local_fallback"].(float64) < 1 {
+		t.Fatalf("the degraded partition probe was not booked as a local fallback: %v", st)
 	}
 	waitStats(t, ts, "victim to be marked down", func(st map[string]any) bool {
 		for _, wi := range st["workers"].([]any) {
@@ -201,10 +205,10 @@ func TestStaleEpochPartialRefused(t *testing.T) {
 		p.Epoch++
 	})}
 	_, ts := startCoordinator(t, cluster.Config{
-		SnapshotPath: path,
-		Query:        qs,
-		Peers:        peers,
-		ShardDir:     t.TempDir(),
+		Config:   server.Config{SnapshotPath: path},
+		Query:    qs,
+		Peers:    peers,
+		ShardDir: t.TempDir(),
 	})
 
 	status, body, _ := get(t, ts, countURL(qs))
@@ -228,10 +232,10 @@ func TestForeignManifestPartialRefused(t *testing.T) {
 		p.ManifestCRC ^= 0xdecade
 	})}
 	_, ts := startCoordinator(t, cluster.Config{
-		SnapshotPath: path,
-		Query:        qs,
-		Peers:        peers,
-		ShardDir:     t.TempDir(),
+		Config:   server.Config{SnapshotPath: path},
+		Query:    qs,
+		Peers:    peers,
+		ShardDir: t.TempDir(),
 	})
 
 	status, body, _ := get(t, ts, countURL(qs))
@@ -256,10 +260,10 @@ func TestStalePartialAfterUnackedDelta(t *testing.T) {
 		p.Applied += 3
 	})}
 	_, ts := startCoordinator(t, cluster.Config{
-		SnapshotPath: path,
-		Query:        qs,
-		Peers:        peers,
-		ShardDir:     t.TempDir(),
+		Config:   server.Config{SnapshotPath: path},
+		Query:    qs,
+		Peers:    peers,
+		ShardDir: t.TempDir(),
 	})
 
 	status, body, _ := get(t, ts, countURL(qs))

@@ -9,16 +9,16 @@ import (
 	"os"
 	"strings"
 
-	"repaircount"
 	"repaircount/internal/workload"
 )
 
-// The coordinator's write path. The ops tail applies each batch to the
-// coordinator's own snapshot first — applied through the live instance
-// and journaled with an fsync'd append, exactly like the single-node
-// daemon, so the coordinator alone is always a correct server. The ops
-// that changed the instance are then routed to the fleet by the
-// placement map recorded at the current epoch's birth:
+// The coordinator's write path. The server's ops tail applies each
+// batch to the coordinator's own snapshot first — applied through the
+// live instance and journaled with an fsync'd append, exactly as on the
+// single-node daemon, so the coordinator alone is always a correct
+// server — and hands the ops that changed the instance to Stream, which
+// routes them to the fleet by the placement map recorded at the current
+// epoch's birth:
 //
 //   - a block owned by worker w streams to w only;
 //   - a shared (replicated singleton) block broadcasts to every worker;
@@ -31,52 +31,14 @@ import (
 // a slow worker. A worker acks a batch only after journaling it to its
 // own shard file, and the ack carries the worker's resulting instance
 // version, which the coordinator records as lastAck — the exact stamp
-// every later partial from that worker must carry.
+// every later partial from that worker must carry. When the journal
+// outgrows CompactBytes the server compacts and calls Reshard, which
+// cuts the next epoch.
 
-// applyBatch is the Tailer callback: apply one parsed batch under the
-// write lock (draining in-flight probes), journal the changed ops, route
-// them to the fleet, and re-shard when the journal outgrows its budget.
-func (c *Coordinator) applyBatch(ops []workload.Update) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var changed []repaircount.Delta
-	var changedOps []workload.Update
-	for _, op := range ops {
-		d := repaircount.Insert(op.Fact)
-		if op.Del {
-			d = repaircount.Delete(op.Fact)
-		}
-		n, err := c.snap.Apply(d)
-		if err != nil {
-			return fmt.Errorf("cluster: applying %s: %w", op.Fact, err)
-		}
-		if n > 0 {
-			changed = append(changed, d)
-			changedOps = append(changedOps, op)
-		}
-	}
-	c.appliedOps.Add(int64(len(ops)))
-	if len(changed) > 0 {
-		if err := repaircount.AppendJournal(c.cfg.SnapshotPath, changed...); err != nil {
-			return fmt.Errorf("cluster: journaling %d ops: %w", len(changed), err)
-		}
-		c.journaled.Add(int64(len(changed)))
-		c.routeOps(changedOps)
-	}
-	if c.cfg.CompactBytes > 0 {
-		st, err := os.Stat(c.cfg.SnapshotPath)
-		if err == nil && st.Size()-c.baseLen >= c.cfg.CompactBytes {
-			if err := c.reshardLocked(); err != nil {
-				return fmt.Errorf("cluster: re-sharding: %w", err)
-			}
-		}
-	}
-	return nil
-}
-
-// routeOps classifies changed ops by the epoch-birth placement and
-// queues them per worker. Caller holds c.mu's write side.
-func (c *Coordinator) routeOps(ops []workload.Update) {
+// Stream is the server's write-path hook (server.Backend): classify the
+// changed ops by the epoch-birth placement and queue them per worker.
+// The server holds its write lock.
+func (c *Coordinator) Stream(ops []workload.Update) {
 	keys := c.pcounter.Instance().Keys
 	c.fmu.Lock()
 	for _, op := range ops {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -168,33 +169,17 @@ func (w *Worker) assume(asn *assignment) error {
 	return nil
 }
 
-// persistAssignment writes the sidecar durably (temp, fsync, rename,
-// dir fsync) through faultfs so crash sweeps cover it.
+// persistAssignment writes the sidecar durably through faultfs, so the
+// crash sweeps cover it.
 func (w *Worker) persistAssignment(asn *assignment) error {
 	data, err := json.Marshal(asn)
 	if err != nil {
 		return err
 	}
-	f, err := faultfs.CreateTemp(w.cfg.Dir, "assignment.json.tmp*")
-	if err != nil {
+	return faultfs.WriteFileAtomic(w.sidecarPath(), func(f io.Writer) error {
+		_, err := f.Write(append(data, '\n'))
 		return err
-	}
-	tmp := f.Name()
-	_, err = f.Write(append(data, '\n'))
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = faultfs.Rename(tmp, w.sidecarPath())
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return faultfs.SyncDir(w.cfg.Dir)
+	})
 }
 
 // Close unmaps the shard snapshot.
@@ -243,7 +228,7 @@ func writeUnassigned(rw http.ResponseWriter) {
 // consumes, plus the epoch and applied stamps the coordinator verifies.
 func (w *Worker) handlePartial(rw http.ResponseWriter, r *http.Request) {
 	w.stats.partials.Add(1)
-	ctx, cancel := contextWithTimeout(r, w.cfg.Deadline)
+	ctx, cancel := context.WithTimeout(r.Context(), w.cfg.Deadline)
 	defer cancel()
 	sl, err := w.pool.Acquire(ctx)
 	if err != nil {
@@ -252,8 +237,7 @@ func (w *Worker) handlePartial(rw http.ResponseWriter, r *http.Request) {
 				server.APIError{Code: "overloaded", Message: "partial probe queue full"})
 			return
 		}
-		server.WriteErr(rw, http.StatusGatewayTimeout,
-			server.APIError{Code: "deadline_exceeded", Message: ctx.Err().Error()})
+		server.WriteCtxErr(rw, ctx, w.cfg.Deadline)
 		return
 	}
 	defer w.pool.Release(sl)
@@ -290,8 +274,7 @@ func (w *Worker) handlePartial(rw http.ResponseWriter, r *http.Request) {
 	p, err := c.CountPartialCtx(ctx, w.cfg.CountWorkers)
 	if err != nil {
 		if ctx.Err() != nil {
-			server.WriteErr(rw, http.StatusGatewayTimeout,
-				server.APIError{Code: "deadline_exceeded", Message: ctx.Err().Error()})
+			server.WriteCtxErr(rw, ctx, w.cfg.Deadline)
 			return
 		}
 		server.WriteErr(rw, http.StatusInternalServerError,
@@ -318,9 +301,10 @@ func (w *Worker) handlePartial(rw http.ResponseWriter, r *http.Request) {
 }
 
 // handleApply applies one forwarded delta batch ("+ Fact"/"- Fact"
-// lines) to the shard: ops are applied to the live instance, the ones
-// that changed it are journaled to the shard file with an fsync'd
-// append, and only then is the batch acked with the resulting version.
+// lines) to the shard through the daemons' apply-and-journal helper: ops
+// are applied to the live instance, the ones that changed it are
+// journaled to the shard file with an fsync'd append, and only then is
+// the batch acked with the resulting version.
 // A batch for another epoch is refused with 409 wrong_epoch so the
 // coordinator knows to reload this worker first.
 func (w *Worker) handleApply(rw http.ResponseWriter, r *http.Request) {
@@ -358,32 +342,12 @@ func (w *Worker) handleApply(rw http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	var changed []repaircount.Delta
-	for _, op := range ops {
-		d := repaircount.Insert(op.Fact)
-		if op.Del {
-			d = repaircount.Delete(op.Fact)
-		}
-		n, err := w.snap.Apply(d)
-		if err != nil {
-			err = fmt.Errorf("cluster: worker applying %s: %w", op.Fact, err)
-			w.degrade(err)
-			server.WriteErr(rw, http.StatusInternalServerError,
-				server.APIError{Code: "internal", Message: err.Error()})
-			return
-		}
-		if n > 0 {
-			changed = append(changed, d)
-		}
-	}
-	if len(changed) > 0 {
-		if err := repaircount.AppendJournal(w.asn.ShardPath, changed...); err != nil {
-			err = fmt.Errorf("cluster: worker journaling %d ops: %w", len(changed), err)
-			w.degrade(err)
-			server.WriteErr(rw, http.StatusInternalServerError,
-				server.APIError{Code: "internal", Message: err.Error()})
-			return
-		}
+	if _, err := server.ApplyOps(w.snap, w.asn.ShardPath, ops); err != nil {
+		err = fmt.Errorf("cluster: worker: %w", err)
+		w.degrade(err)
+		server.WriteErr(rw, http.StatusInternalServerError,
+			server.APIError{Code: "internal", Message: err.Error()})
+		return
 	}
 	server.WriteJSON(rw, http.StatusOK, applyResponse{Epoch: w.asn.Epoch, Applied: w.snap.Version()})
 }

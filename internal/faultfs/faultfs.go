@@ -17,7 +17,9 @@ package faultfs
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -249,4 +251,31 @@ func SyncDir(dir string) error {
 		err = cerr
 	}
 	return err
+}
+
+// WriteFileAtomic durably replaces path with what write produces: a temp
+// file beside it, fsync, atomic rename, directory fsync. A failure at any
+// step removes the temp file and leaves the previous file intact. Every
+// step is budgeted, so a crash sweep over any caller covers all of them.
+func WriteFileAtomic(path string, write func(w io.Writer) error) error {
+	dir := filepath.Dir(path)
+	f, err := CreateTemp(dir, filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+		return err
+	}
+	return SyncDir(dir)
 }

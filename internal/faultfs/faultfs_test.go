@@ -2,6 +2,7 @@ package faultfs
 
 import (
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -120,5 +121,50 @@ func TestFromEnvUnsetIsNoop(t *testing.T) {
 	FromEnv(key)
 	if active.Load() != nil {
 		t.Fatal("hook installed from unset variable")
+	}
+}
+
+// TestWriteFileAtomicSweep crashes WriteFileAtomic at every cost unit:
+// each run either fails with the old file intact and no temp file left,
+// or succeeds with the new content in place.
+func TestWriteFileAtomicSweep(t *testing.T) {
+	defer Clear()
+	dir := t.TempDir()
+	path := filepath.Join(dir, "sidecar")
+	const old, fresh = "old\n", "fresh contents\n"
+	write := func(w io.Writer) error {
+		_, err := io.WriteString(w, fresh)
+		return err
+	}
+	// Create + len(fresh) bytes + Sync + Close + Rename + SyncDir.
+	total := int64(len(fresh)) + 4
+	for budget := int64(0); budget <= total; budget++ {
+		if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		Inject(budget)
+		err := WriteFileAtomic(path, write)
+		Clear()
+		got, rerr := os.ReadFile(path)
+		if rerr != nil {
+			t.Fatal(rerr)
+		}
+		switch {
+		case err == nil && string(got) != fresh:
+			t.Fatalf("budget %d: success left %q", budget, got)
+		case err != nil && !errors.Is(err, ErrInjected):
+			t.Fatalf("budget %d: unexpected error %v", budget, err)
+		case err != nil && budget < total-1 && string(got) != old:
+			// Only a fault at the final directory fsync may follow a
+			// completed rename.
+			t.Fatalf("budget %d: failed write clobbered the file: %q", budget, got)
+		}
+		if budget == total && err != nil {
+			t.Fatalf("full budget %d still faulted: %v", budget, err)
+		}
+		entries, _ := os.ReadDir(dir)
+		if len(entries) != 1 {
+			t.Fatalf("budget %d: temp file left behind: %v", budget, entries)
+		}
 	}
 }

@@ -7,16 +7,17 @@ import (
 	"fmt"
 	"net/http"
 	"sync/atomic"
+	"time"
 
 	"repaircount"
 )
 
-// This file is the probe plumbing shared by every serving topology: the
-// bounded slot pool with per-slot counter caches, the structured error
-// body, and the query extraction. The single-node daemon (Server) and
-// the cluster coordinator/worker (internal/cluster) build their HTTP
-// surfaces from these same pieces so admission, overload and error
-// semantics cannot drift between topologies.
+// This file is the probe plumbing: the bounded slot pool with per-slot
+// counter caches, the structured error body and its context-error
+// mapping, and the query extraction. Both daemons serve through Server;
+// the shard worker (internal/cluster) builds its partial endpoint from
+// the same pool and error pieces, so overload and cancellation answer
+// alike on every surface.
 
 // ErrOverloaded is returned by Pool.Acquire when QueueDepth probes
 // already wait for a slot.
@@ -129,8 +130,8 @@ func WriteErr(w http.ResponseWriter, status int, e APIError) {
 // value as text/plain when the request asked for format=text, the JSON
 // body otherwise. An empty text form means the endpoint has no text
 // rendering and always answers JSON. Every handler tail in the
-// single-node daemon and the cluster coordinator funnels through here
-// so the two response shapes cannot drift.
+// pipeline funnels through here so the two response shapes cannot
+// drift.
 func WriteResult(w http.ResponseWriter, r *http.Request, text string, body map[string]any) {
 	if text != "" && r.URL.Query().Get("format") == "text" {
 		w.Header().Set("Content-Type", "text/plain")
@@ -140,9 +141,21 @@ func WriteResult(w http.ResponseWriter, r *http.Request, text string, body map[s
 	WriteJSON(w, http.StatusOK, body)
 }
 
-// ProbeQuery extracts the query text from ?q= or a JSON {"query": ...}
+// WriteCtxErr answers a probe whose context ended: 504
+// deadline_exceeded when its wall-clock budget (deadline) ran out, 499
+// canceled when the client went away (the status is never seen).
+func WriteCtxErr(w http.ResponseWriter, ctx context.Context, deadline time.Duration) {
+	if ctx.Err() == context.DeadlineExceeded {
+		WriteErr(w, http.StatusGatewayTimeout, APIError{Code: "deadline_exceeded",
+			Message: fmt.Sprintf("probe exceeded the %s deadline", deadline)})
+		return
+	}
+	WriteErr(w, 499, APIError{Code: "canceled", Message: "client canceled the probe"})
+}
+
+// probeQuery extracts the query text from ?q= or a JSON {"query": ...}
 // body.
-func ProbeQuery(r *http.Request) (string, error) {
+func probeQuery(r *http.Request) (string, error) {
 	if q := r.URL.Query().Get("q"); q != "" {
 		return q, nil
 	}

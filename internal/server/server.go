@@ -17,16 +17,20 @@
 // a thundering herd of identical probes into one count. See the
 // "Serve-path performance" section of the root package docs.
 //
-// The probe plumbing (Pool/Slot), admission policy (Ladder), structured
-// errors (APIError) and ops tail (Tailer) are exported so the
-// distributed topology in internal/cluster serves with byte-identical
-// semantics.
+// Both daemons run this one probe pipeline: slot and deadline → query →
+// cache entry → admission → execute → render, plus the snapshot
+// lifecycle (recover, open, apply-and-journal, compaction and epochs).
+// The shard-fleet coordinator in internal/cluster plugs in as a Backend
+// (NewWithBackend): it prices and runs the exact rung of its partition
+// query over the fleet and follows the write path, and every other step
+// is this package's.
 package server
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http"
 	"os"
 	"runtime"
@@ -96,7 +100,10 @@ type Config struct {
 	ProbsPath string
 }
 
-func (cfg *Config) fill() {
+// Fill replaces zero values with the documented defaults. New calls it;
+// a topology that wraps a Server and reads the settings itself (the
+// fleet coordinator's maintenance tick) calls it first.
+func (cfg *Config) Fill() {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -141,8 +148,9 @@ func (cfg Config) Ladder() Ladder {
 // the ops applier and compactor take the write side, so counts always see
 // a consistent instance version.
 type Server struct {
-	cfg    Config
-	ladder Ladder
+	cfg     Config
+	ladder  Ladder
+	backend Backend // nil for the single-node daemon
 
 	mu      sync.RWMutex
 	snap    *repaircount.Snapshot
@@ -163,7 +171,7 @@ type Server struct {
 		probes, exact, approx, prob, rejected, overloaded, deadline atomic.Int64
 	}
 
-	tailer   *Tailer
+	tailer   *tailer
 	stop     chan struct{}
 	stopOnce sync.Once
 	tailDone chan struct{}
@@ -172,10 +180,30 @@ type Server struct {
 // New recovers, maps and starts serving the snapshot in cfg. The returned
 // server's Handler routes the probe API; Close stops the tailer and
 // releases the mapping.
-func New(cfg Config) (*Server, error) {
-	cfg.fill()
+func New(cfg Config) (*Server, error) { return NewWithBackend(cfg, nil) }
+
+// NewWithBackend is New with a backend serving part of the count
+// pipeline (see Backend). A backend's epochs are its cuts: the snapshot
+// is compacted first when it carries a journal, so the first cut — epoch
+// 1 — is taken over a clean sealed base, and it is handed to
+// b.Reshard before the tail starts.
+func NewWithBackend(cfg Config, b Backend) (*Server, error) {
+	cfg.Fill()
 	if cfg.SnapshotPath == "" {
 		return nil, fmt.Errorf("server: SnapshotPath is required")
+	}
+	var probs map[string]float64
+	if cfg.ProbsPath != "" {
+		pf, err := os.Open(cfg.ProbsPath)
+		if err != nil {
+			return nil, fmt.Errorf("server: opening probs %s: %w", cfg.ProbsPath, err)
+		}
+		anns, err := workload.ParseProbAnnotations(pf)
+		pf.Close()
+		if err != nil {
+			return nil, fmt.Errorf("server: parsing probs %s: %w", cfg.ProbsPath, err)
+		}
+		probs = workload.AnnotationMap(anns)
 	}
 	recovered, err := repaircount.RecoverSnapshot(cfg.SnapshotPath)
 	if err != nil {
@@ -193,9 +221,11 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:       cfg,
 		ladder:    cfg.Ladder(),
+		backend:   b,
 		snap:      snap,
 		baseLen:   st.Size() - snap.JournalBytes(),
 		pool:      NewPool(cfg.Workers, cfg.QueueDepth),
+		probs:     probs,
 		recovered: recovered,
 		stop:      make(chan struct{}),
 		tailDone:  make(chan struct{}),
@@ -203,27 +233,21 @@ func New(cfg Config) (*Server, error) {
 	if cfg.CacheEntries >= 0 {
 		s.cache = NewProbeCache(cfg.CacheEntries)
 	}
-	if cfg.ProbsPath != "" {
-		pf, err := os.Open(cfg.ProbsPath)
-		if err != nil {
-			snap.Close()
-			return nil, fmt.Errorf("server: opening probs %s: %w", cfg.ProbsPath, err)
+	if b != nil {
+		if snap.JournalBytes() > 0 {
+			err = s.compactLocked()
 		}
-		anns, err := workload.ParseProbAnnotations(pf)
-		pf.Close()
-		if err != nil {
-			snap.Close()
-			return nil, fmt.Errorf("server: parsing probs %s: %w", cfg.ProbsPath, err)
+		if err == nil {
+			s.epoch = 1
+			err = b.Reshard(s.snap, s.epoch)
 		}
-		s.probs = workload.AnnotationMap(anns)
+		if err != nil {
+			s.snap.Close()
+			return nil, err
+		}
 	}
 	if cfg.OpsPath != "" {
-		s.tailer = &Tailer{
-			OpsPath:    cfg.OpsPath,
-			OffsetPath: cfg.OpsPath + ".offset",
-			Poll:       cfg.Poll,
-			Apply:      s.applyBatch,
-		}
+		s.tailer = &tailer{opsPath: cfg.OpsPath, poll: cfg.Poll, apply: s.applyBatch}
 		go s.tailLoop()
 	} else {
 		close(s.tailDone)
@@ -241,7 +265,12 @@ func (s *Server) Close() error {
 	<-s.tailDone
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.snap.Close()
+	if s.snap == nil {
+		return nil
+	}
+	err := s.snap.Close()
+	s.snap = nil
+	return err
 }
 
 // degrade marks the daemon read-only after a write-path failure: probes
@@ -269,68 +298,37 @@ func (s *Server) buildCounter(qs string) (*repaircount.Counter, error) {
 	return s.snap.Counter(q)
 }
 
-// counterFor returns the slot's cached counter for the query text,
-// rebuilding it when absent or when the epoch moved (compaction replaced
-// the substrate). This is the cache-disabled fallback path; with the
-// shared cache on, probes go through acquireEntry instead. Caller holds
-// s.mu.RLock.
-func (s *Server) counterFor(sl *Slot, qs string) (*repaircount.Counter, error) {
-	return sl.Counter(s.epoch, qs, s.buildCounter)
-}
-
-// acquireEntry locks the shared cache entry for qs, writing the
-// transport answer on failure. Caller holds s.mu.RLock and must Release
-// the entry when non-nil.
-func (s *Server) acquireEntry(w http.ResponseWriter, ctx context.Context, qs string) *CacheEntry {
-	ent, err := s.cache.Acquire(ctx, s.epoch, qs, s.buildCounter)
-	if err != nil {
-		if ctx.Err() != nil {
-			s.writeCtxErr(w, ctx)
-		} else {
-			WriteErr(w, http.StatusBadRequest, APIError{Code: "bad_query", Message: err.Error()})
-		}
-		return nil
-	}
-	return ent
-}
-
-// price returns the probe's admission, memoized per (epoch, version)
-// when a cache entry is present — and, across version bumps that did not
-// move the plan fingerprint, a memoized exact admission is reused without
-// re-running the ladder (Ladder.PriceEntry). A later ErrBudget re-price
-// is never stored: the memo keeps the plan-level admission, exactly
-// mirroring what the uncached ladder would decide on every probe.
-func (s *Server) price(ent *CacheEntry, c *repaircount.Counter, version uint64) Admission {
-	if ent == nil {
-		return s.ladder.Price(c)
-	}
-	return s.ladder.PriceEntry(ent, c, s.epoch, version)
-}
-
 // writeCtxErr maps a canceled probe context to its transport answer.
 func (s *Server) writeCtxErr(w http.ResponseWriter, ctx context.Context) {
 	if ctx.Err() == context.DeadlineExceeded {
 		s.stats.deadline.Add(1)
-		WriteErr(w, http.StatusGatewayTimeout, APIError{Code: "deadline_exceeded",
-			Message: fmt.Sprintf("probe exceeded the %s deadline", s.cfg.Deadline)})
-		return
 	}
-	// Client went away; the status is never seen.
-	WriteErr(w, 499, APIError{Code: "canceled", Message: "client canceled the probe"})
+	WriteCtxErr(w, ctx, s.cfg.Deadline)
 }
 
-// Handler routes the probe API.
+func writeBadQuery(w http.ResponseWriter, err error) {
+	WriteErr(w, http.StatusBadRequest, APIError{Code: "bad_query", Message: err.Error()})
+}
+
+// Handler routes the probe API. Any other path answers a structured 404.
 func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/count", s.handleCount)
-	mux.HandleFunc("/v1/prob", s.handleProb)
-	mux.HandleFunc("/v1/decide", s.handleDecide)
-	mux.HandleFunc("/v1/explain", s.handleExplain)
-	mux.HandleFunc("/v1/rank", s.handleRank)
-	mux.HandleFunc("/v1/total", s.handleTotal)
-	mux.HandleFunc("/v1/stats", s.handleStats)
-	mux.HandleFunc("/healthz", s.handleHealth)
-	return mux
+	routes := map[string]http.HandlerFunc{
+		"/v1/count":   s.handleCount,
+		"/v1/prob":    s.handleProb,
+		"/v1/decide":  s.handleDecide,
+		"/v1/explain": s.handleExplain,
+		"/v1/rank":    s.handleRank,
+		"/v1/total":   s.handleTotal,
+		"/v1/stats":   s.handleStats,
+		"/healthz":    s.handleHealth,
+	}
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if h, ok := routes[r.URL.Path]; ok {
+			h(w, r)
+			return
+		}
+		WriteErr(w, http.StatusNotFound, APIError{Code: "not_found", Message: fmt.Sprintf("no endpoint %q", r.URL.Path)})
+	})
 }
 
 // withProbe runs fn on an acquired slot under the read lock, handling
@@ -356,88 +354,190 @@ func (s *Server) withProbe(w http.ResponseWriter, r *http.Request, fn func(ctx c
 	fn(ctx, sl)
 }
 
-func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
-	qs, err := ProbeQuery(r)
+// probe is one admitted query probe: the instance version and epoch it
+// runs at, and its counter — the shared cache entry's, held locked until
+// the handler returns, or with the cache off the slot's private one.
+type probe struct {
+	ctx            context.Context
+	qs             string
+	version, epoch uint64
+	ent            *CacheEntry // nil when the shared cache is off
+	c              *repaircount.Counter
+}
+
+// result returns the memoized result of the given kind, if any.
+func (p *probe) result(kind ResultKind) (CachedResult, bool) {
+	if p.ent == nil {
+		return CachedResult{}, false
+	}
+	return p.ent.Result(kind, p.epoch, p.version)
+}
+
+// store memoizes a completed result when the cache is on.
+func (p *probe) store(kind ResultKind, res CachedResult) {
+	if p.ent != nil {
+		p.ent.StoreResult(kind, p.epoch, p.version, res)
+	}
+}
+
+// withQuery runs fn for one query probe: query extraction, withProbe,
+// then the counter lookup every query endpoint shares.
+func (s *Server) withQuery(w http.ResponseWriter, r *http.Request, fn func(p *probe)) {
+	qs, err := probeQuery(r)
 	if err != nil {
-		WriteErr(w, http.StatusBadRequest, APIError{Code: "bad_query", Message: err.Error()})
+		writeBadQuery(w, err)
 		return
 	}
 	s.withProbe(w, r, func(ctx context.Context, sl *Slot) {
-		version := s.snap.Version()
-		var ent *CacheEntry
-		var c *repaircount.Counter
-		if s.cache != nil {
-			if ent = s.acquireEntry(w, ctx, qs); ent == nil {
+		p := &probe{ctx: ctx, qs: qs, version: s.snap.Version(), epoch: s.epoch}
+		var err error
+		if s.cache == nil {
+			if p.c, err = sl.Counter(s.epoch, qs, s.buildCounter); err != nil {
+				writeBadQuery(w, err)
 				return
-			}
-			defer s.cache.Release(ent)
-			if res, ok := ent.Result(ResultCount, s.epoch, version); ok {
-				s.stats.exact.Add(1)
-				WriteResult(w, r, res.Str, map[string]any{
-					"mode": "exact", "count": res.Str,
-					"engine": res.Engine.String(), "version": version, "epoch": s.epoch,
-				})
-				return
-			}
-			c = ent.Counter()
-			// The per-text memo missed; a structurally identical query may
-			// already have computed this count. Equal count fingerprints
-			// imply equal counts, so the aliased result is served as-is
-			// (and copied into this text's memo for the fast path).
-			if fp, ok := c.CountFingerprint(); ok {
-				if res, ok := s.cache.ResultByFP(ResultCount, fp, s.epoch, version); ok {
-					s.stats.exact.Add(1)
-					ent.StoreResult(ResultCount, s.epoch, version, res)
-					WriteResult(w, r, res.Str, map[string]any{
-						"mode": "exact", "count": res.Str,
-						"engine": res.Engine.String(), "version": version, "epoch": s.epoch,
-					})
-					return
-				}
 			}
 		} else {
-			var err error
-			if c, err = s.counterFor(sl, qs); err != nil {
-				WriteErr(w, http.StatusBadRequest, APIError{Code: "bad_query", Message: err.Error()})
+			if p.ent, err = s.cache.Acquire(ctx, s.epoch, qs, s.buildCounter); err != nil {
+				if ctx.Err() != nil {
+					s.writeCtxErr(w, ctx)
+				} else {
+					writeBadQuery(w, err)
+				}
+				return
+			}
+			defer s.cache.Release(p.ent)
+			p.c = p.ent.Counter()
+		}
+		fn(p)
+	})
+}
+
+// price returns the probe's admission, memoized per (epoch, version)
+// when a cache entry is present — and, across version bumps that did not
+// move the plan fingerprint, a memoized exact admission is reused without
+// re-running the ladder (Ladder.PriceEntry). A later ErrBudget re-price
+// is never stored: the memo keeps the plan-level admission, exactly
+// mirroring what the uncached ladder would decide on every probe.
+func (s *Server) price(p *probe) Admission {
+	if p.ent == nil {
+		return s.ladder.Price(p.c)
+	}
+	return s.ladder.PriceEntry(p.ent, p.c, p.epoch, p.version)
+}
+
+// countMemo returns a memoized exact count: the per-text memo first, then
+// a structurally identical query's result through the count-fingerprint
+// alias (equal fingerprints imply equal counts), which is copied into
+// this text's memo for the fast path.
+func (s *Server) countMemo(p *probe) (CachedResult, bool) {
+	if res, ok := p.result(ResultCount); ok || p.ent == nil {
+		return res, ok
+	}
+	if fp, ok := p.c.CountFingerprint(); ok {
+		if res, ok := s.cache.ResultByFP(ResultCount, fp, p.epoch, p.version); ok {
+			p.store(ResultCount, res)
+			return res, true
+		}
+	}
+	return CachedResult{}, false
+}
+
+// storeCount memoizes an exact count under the text and its fingerprint.
+func (s *Server) storeCount(p *probe, res CachedResult) {
+	if p.ent == nil {
+		return
+	}
+	p.store(ResultCount, res)
+	if fp, ok := p.c.CountFingerprint(); ok {
+		s.cache.StoreResultByFP(ResultCount, fp, p.epoch, p.version, res)
+	}
+}
+
+// writeLocalCount answers a count served by the local exact rung.
+func (s *Server) writeLocalCount(w http.ResponseWriter, r *http.Request, p *probe, rt *Route, res CachedResult) {
+	s.stats.exact.Add(1)
+	resp := map[string]any{
+		"mode": "exact", "count": res.Str,
+		"engine": res.Engine.String(), "version": p.version, "epoch": p.epoch,
+	}
+	if s.backend != nil {
+		s.backend.LocalCount(rt, resp)
+	}
+	WriteResult(w, r, res.Str, resp)
+}
+
+// handleCount runs the admission ladder: an exact count where the
+// planned work fits the budget, the FPRAS where it does not, a
+// structured 429 where the sample bound does not fit either. A probe the
+// backend routes runs its exact rung there, priced on the backend's
+// critical path and never answered from the local result memo: the
+// backend's round trips are its own failure detector.
+func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
+	s.withQuery(w, r, func(p *probe) {
+		var rt *Route
+		if s.backend != nil {
+			rt = s.backend.Route(p.qs)
+		}
+		remote := rt != nil && rt.Run != nil
+		if !remote {
+			if res, ok := s.countMemo(p); ok {
+				s.writeLocalCount(w, r, p, rt, res)
 				return
 			}
 		}
-		adm := s.price(ent, c, version)
-		if adm.Mode == AdmitExact {
-			n, engine, err := c.CountCtx(ctx, s.cfg.CountWorkers)
+		var adm Admission
+		if remote {
+			adm = s.ladder.PriceCost(p.c, rt.Cost)
+		} else {
+			adm = s.price(p)
+		}
+		if adm.Mode == AdmitExact && remote {
+			str, keys, err := rt.Run(p.ctx, p.ent, p.version)
+			var se *StatusError
 			switch {
 			case err == nil:
 				s.stats.exact.Add(1)
-				str := n.String()
-				if ent != nil {
-					res := CachedResult{N: n, Str: str, Engine: engine}
-					ent.StoreResult(ResultCount, s.epoch, version, res)
-					if fp, ok := c.CountFingerprint(); ok {
-						s.cache.StoreResultByFP(ResultCount, fp, s.epoch, version, res)
-					}
-				}
-				WriteResult(w, r, str, map[string]any{
-					"mode": "exact", "count": str,
-					"engine": engine.String(), "version": version, "epoch": s.epoch,
-				})
+				resp := map[string]any{"mode": "exact", "count": str, "version": p.version, "epoch": p.epoch}
+				maps.Copy(resp, keys)
+				WriteResult(w, r, str, resp)
 				return
-			case ctx.Err() != nil:
-				s.writeCtxErr(w, ctx)
+			case p.ctx.Err() != nil:
+				s.writeCtxErr(w, p.ctx)
+				return
+			case errors.As(err, &se):
+				WriteErr(w, se.Status, se.APIError)
+				return
+			default:
+				// The backend is unavailable; the local rung is still exact.
+				fmt.Fprintf(os.Stderr, "server: backend count failed, serving locally: %v\n", err)
+				rt = &Route{Reason: err.Error()}
+			}
+		}
+		if adm.Mode == AdmitExact {
+			n, engine, err := p.c.CountCtx(p.ctx, s.cfg.CountWorkers)
+			switch {
+			case err == nil:
+				res := CachedResult{N: n, Str: n.String(), Engine: engine}
+				s.storeCount(p, res)
+				s.writeLocalCount(w, r, p, rt, res)
+				return
+			case p.ctx.Err() != nil:
+				s.writeCtxErr(w, p.ctx)
 				return
 			case errors.Is(err, repaircount.ErrBudget):
 				// The runtime fallback chain ran out of budget despite the
 				// plan's price: degrade to the FPRAS rung below.
-				adm = s.ladder.PriceApprox(c, adm)
+				adm = s.ladder.PriceApprox(p.c, adm)
 			default:
 				WriteErr(w, http.StatusInternalServerError, APIError{Code: "internal", Message: err.Error()})
 				return
 			}
 		}
 		if adm.Mode == AdmitApprox {
-			est, err := c.ApproximateParallelCtx(ctx, s.cfg.Eps, s.cfg.Delta, s.cfg.CountWorkers, s.cfg.Seed)
+			est, err := p.c.ApproximateParallelCtx(p.ctx, s.cfg.Eps, s.cfg.Delta, s.cfg.CountWorkers, s.cfg.Seed)
 			if err != nil {
-				if ctx.Err() != nil {
-					s.writeCtxErr(w, ctx)
+				if p.ctx.Err() != nil {
+					s.writeCtxErr(w, p.ctx)
 					return
 				}
 				WriteErr(w, http.StatusInternalServerError, APIError{Code: "internal", Message: err.Error()})
@@ -448,7 +548,7 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 				"mode": "approx", "estimate": est.Value.Text('f', 2),
 				"eps": s.cfg.Eps, "delta": s.cfg.Delta,
 				"samples": est.Samples, "hits": est.Hits,
-				"version": version, "epoch": s.epoch,
+				"version": p.version, "epoch": p.epoch,
 			})
 			return
 		}
@@ -457,12 +557,13 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// probResponse renders a served probability interval.
-func probResponse(res CachedResult, version, epoch uint64) (string, map[string]any) {
-	return res.Str, map[string]any{
+// writeProb answers a served probability interval.
+func (s *Server) writeProb(w http.ResponseWriter, r *http.Request, p *probe, res CachedResult) {
+	s.stats.prob.Add(1)
+	WriteResult(w, r, res.Str, map[string]any{
 		"prob_lo": res.Lo, "prob_hi": res.Hi, "prob": res.Str,
-		"version": version, "epoch": epoch,
-	}
+		"version": p.version, "epoch": p.epoch,
+	})
 }
 
 // handleProb answers /v1/prob: the probability that a random repair
@@ -476,139 +577,67 @@ func probResponse(res CachedResult, version, epoch uint64) (string, map[string]a
 // serve: non-∃FO⁺, masked factorization) is refused with a structured
 // budget error, never silently estimated.
 func (s *Server) handleProb(w http.ResponseWriter, r *http.Request) {
-	qs, err := ProbeQuery(r)
-	if err != nil {
-		WriteErr(w, http.StatusBadRequest, APIError{Code: "bad_query", Message: err.Error()})
-		return
-	}
-	s.withProbe(w, r, func(ctx context.Context, sl *Slot) {
-		version := s.snap.Version()
-		var ent *CacheEntry
-		var c *repaircount.Counter
-		if s.cache != nil {
-			if ent = s.acquireEntry(w, ctx, qs); ent == nil {
-				return
-			}
-			defer s.cache.Release(ent)
-			if res, ok := ent.Result(ResultProb, s.epoch, version); ok {
-				s.stats.prob.Add(1)
-				str, resp := probResponse(res, version, s.epoch)
-				WriteResult(w, r, str, resp)
-				return
-			}
-			c = ent.Counter()
-		} else {
-			if c, err = s.counterFor(sl, qs); err != nil {
-				WriteErr(w, http.StatusBadRequest, APIError{Code: "bad_query", Message: err.Error()})
-				return
-			}
-		}
-		plan, err := c.ExplainPlan(repaircount.EngineCompile)
-		if err != nil {
-			s.stats.rejected.Add(1)
-			WriteErr(w, http.StatusTooManyRequests, APIError{Code: "budget_exceeded",
-				Message: fmt.Sprintf("probability probe needs the circuit engine: %v", err), ExactBudget: s.cfg.ExactBudget})
+	s.withQuery(w, r, func(p *probe) {
+		if res, ok := p.result(ResultProb); ok {
+			s.writeProb(w, r, p, res)
 			return
 		}
-		if plan.Engine == repaircount.EngineEnumFO {
+		reject := func(e APIError) {
 			s.stats.rejected.Add(1)
-			WriteErr(w, http.StatusTooManyRequests, APIError{Code: "budget_exceeded",
-				Message:     "no circuit (and no weighted counter) exists outside existential positive FO",
-				ExactBudget: s.cfg.ExactBudget})
-			return
+			e.Code, e.ExactBudget = "budget_exceeded", s.cfg.ExactBudget
+			WriteErr(w, http.StatusTooManyRequests, e)
 		}
-		if !plan.AlwaysTrue && plan.Budget > s.cfg.ExactBudget {
-			s.stats.rejected.Add(1)
-			WriteErr(w, http.StatusTooManyRequests, APIError{Code: "budget_exceeded",
+		plan, err := p.c.ExplainPlan(repaircount.EngineCompile)
+		switch {
+		case err != nil:
+			reject(APIError{Message: fmt.Sprintf("probability probe needs the circuit engine: %v", err)})
+			return
+		case plan.Engine == repaircount.EngineEnumFO:
+			reject(APIError{Message: "no circuit (and no weighted counter) exists outside existential positive FO"})
+			return
+		case !plan.AlwaysTrue && plan.Budget > s.cfg.ExactBudget:
+			reject(APIError{
 				Message:     fmt.Sprintf("planned circuit work %d exceeds the exact budget (no approximate rung for weighted counting)", plan.Budget),
-				ExactBudget: s.cfg.ExactBudget, PlannedCost: fmt.Sprint(plan.Budget)})
+				PlannedCost: fmt.Sprint(plan.Budget)})
 			return
 		}
-		iv, err := c.ProbabilityOf(c.FactWeights(s.probs))
+		iv, err := p.c.ProbabilityOf(p.c.FactWeights(s.probs))
 		if err != nil {
 			if errors.Is(err, repaircount.ErrBudget) {
-				s.stats.rejected.Add(1)
-				WriteErr(w, http.StatusTooManyRequests, APIError{Code: "budget_exceeded", Message: err.Error(), ExactBudget: s.cfg.ExactBudget})
+				reject(APIError{Message: err.Error()})
 				return
 			}
 			WriteErr(w, http.StatusBadRequest, APIError{Code: "prob_unavailable", Message: err.Error()})
 			return
 		}
-		s.stats.prob.Add(1)
 		res := CachedResult{Lo: iv.Lo, Hi: iv.Hi, Str: iv.String()}
-		if ent != nil {
-			ent.StoreResult(ResultProb, s.epoch, version, res)
-		}
-		str, resp := probResponse(res, version, s.epoch)
-		WriteResult(w, r, str, resp)
+		p.store(ResultProb, res)
+		s.writeProb(w, r, p, res)
 	})
 }
 
 func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
-	qs, err := ProbeQuery(r)
-	if err != nil {
-		WriteErr(w, http.StatusBadRequest, APIError{Code: "bad_query", Message: err.Error()})
-		return
-	}
-	s.withProbe(w, r, func(ctx context.Context, sl *Slot) {
-		version := s.snap.Version()
-		var entailed bool
-		if s.cache != nil {
-			ent := s.acquireEntry(w, ctx, qs)
-			if ent == nil {
-				return
-			}
-			defer s.cache.Release(ent)
-			res, ok := ent.Result(ResultDecide, s.epoch, version)
-			if !ok {
-				res = CachedResult{Entailed: ent.Counter().Decide()}
-				res.Str = fmt.Sprintf("%v", res.Entailed)
-				ent.StoreResult(ResultDecide, s.epoch, version, res)
-			}
-			entailed = res.Entailed
-		} else {
-			c, err := s.counterFor(sl, qs)
-			if err != nil {
-				WriteErr(w, http.StatusBadRequest, APIError{Code: "bad_query", Message: err.Error()})
-				return
-			}
-			entailed = c.Decide()
+	s.withQuery(w, r, func(p *probe) {
+		res, ok := p.result(ResultDecide)
+		if !ok {
+			res = CachedResult{Entailed: p.c.Decide()}
+			res.Str = fmt.Sprintf("%v", res.Entailed)
+			p.store(ResultDecide, res)
 		}
-		WriteResult(w, r, fmt.Sprintf("%v", entailed), map[string]any{
-			"entailed": entailed, "version": version, "epoch": s.epoch,
+		WriteResult(w, r, res.Str, map[string]any{
+			"entailed": res.Entailed, "version": p.version, "epoch": p.epoch,
 		})
 	})
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	qs, err := ProbeQuery(r)
-	if err != nil {
-		WriteErr(w, http.StatusBadRequest, APIError{Code: "bad_query", Message: err.Error()})
-		return
-	}
-	s.withProbe(w, r, func(ctx context.Context, sl *Slot) {
-		version := s.snap.Version()
-		var adm Admission
-		if s.cache != nil {
-			ent := s.acquireEntry(w, ctx, qs)
-			if ent == nil {
-				return
-			}
-			defer s.cache.Release(ent)
-			adm = s.price(ent, ent.Counter(), version)
-		} else {
-			c, err := s.counterFor(sl, qs)
-			if err != nil {
-				WriteErr(w, http.StatusBadRequest, APIError{Code: "bad_query", Message: err.Error()})
-				return
-			}
-			adm = s.ladder.Price(c)
-		}
+	s.withQuery(w, r, func(p *probe) {
+		adm := s.price(p)
 		resp := map[string]any{
 			"admission": adm.Mode,
 			"engine":    adm.Engine.String(),
-			"version":   version,
-			"epoch":     s.epoch,
+			"version":   p.version,
+			"epoch":     p.epoch,
 		}
 		if adm.PlannedCost != nil {
 			resp["planned_cost"] = adm.PlannedCost.String()
@@ -622,20 +651,23 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		if adm.Mode == AdmitReject {
 			resp["reason"] = adm.Reason
 		}
+		if s.backend != nil {
+			s.backend.Explain(p.qs, resp)
+		}
 		WriteJSON(w, http.StatusOK, resp)
 	})
 }
 
 func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
-	qs, err := ProbeQuery(r)
+	qs, err := probeQuery(r)
 	if err != nil {
-		WriteErr(w, http.StatusBadRequest, APIError{Code: "bad_query", Message: err.Error()})
+		writeBadQuery(w, err)
 		return
 	}
 	s.withProbe(w, r, func(ctx context.Context, sl *Slot) {
 		q, err := repaircount.ParseQuery(qs)
 		if err != nil {
-			WriteErr(w, http.StatusBadRequest, APIError{Code: "bad_query", Message: err.Error()})
+			writeBadQuery(w, err)
 			return
 		}
 		ranked, err := s.snap.RankAnswers(q)
@@ -645,7 +677,7 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 				WriteErr(w, http.StatusTooManyRequests, APIError{Code: "budget_exceeded", Message: err.Error()})
 				return
 			}
-			WriteErr(w, http.StatusBadRequest, APIError{Code: "bad_query", Message: err.Error()})
+			writeBadQuery(w, err)
 			return
 		}
 		type answer struct {
@@ -718,6 +750,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp["cache_evictions"] = cs.Evictions
 	resp["cache_entries"] = cs.Entries
 	resp["cache_fp_merges"] = cs.FPMerges
+	if s.backend != nil {
+		s.backend.Stats(resp)
+	}
 	s.mu.RUnlock()
 	WriteJSON(w, http.StatusOK, resp)
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -17,11 +16,12 @@ import (
 
 // The tailer is the daemon's only write path. It polls the ops file for
 // new complete lines ("+ Fact" / "- Fact", # comments), applies them
-// through the owner's Apply callback (which takes the write lock,
-// patches the live instance and journals the changed ops with an
-// fsync'd append), and then — only after the batch is durably applied —
-// persists the consumed byte offset to a sidecar file so a restart
-// resumes the tail instead of re-applying the whole stream.
+// through the server's applyBatch (which takes the write lock, patches
+// the live instance, journals the changed ops with an fsync'd append,
+// hands them to the backend and compacts when due), and then — only
+// after the batch is durably applied — persists the consumed byte offset
+// to the OpsPath + ".offset" sidecar so a restart resumes the tail
+// instead of re-applying the whole stream.
 //
 // Crash safety is a consequence of layering plus ordering, not tailer
 // bookkeeping: the ops file is the source of truth, and the sidecar is
@@ -36,38 +36,33 @@ import (
 // the committed-plus-pending state.
 //
 // Any write-path failure (unparseable ops line, failed apply, failed
-// journal append or compaction) stops the tail and degrades the owner
-// to read-only: probes keep answering against the last applied state,
-// /healthz fails, and the reason is reported in /v1/stats.
+// journal append, compaction or re-shard) stops the tail and degrades
+// the daemon to read-only: probes keep answering against the last
+// applied state, /healthz fails, and the reason is reported in
+// /v1/stats.
 
 // offsetMagic prefixes the sidecar's single line: "CQSO1 <offset>\n".
 const offsetMagic = "CQSO1"
 
-// Tailer follows an append-only update-stream file and hands parsed
-// batches to Apply. It is shared by the single-node daemon and the
-// cluster coordinator.
-type Tailer struct {
-	// OpsPath is the stream file to follow.
-	OpsPath string
-	// OffsetPath, when set, is the sidecar persisting the consumed byte
-	// offset across restarts ("" replays from zero every start).
-	OffsetPath string
-	// Poll is the tail interval.
-	Poll time.Duration
-	// Apply durably applies one parsed batch; an error stops the tail.
-	Apply func(ops []workload.Update) error
+// tailer follows an append-only update-stream file and hands parsed
+// batches to apply.
+type tailer struct {
+	opsPath string
+	poll    time.Duration
+	// apply durably applies one parsed batch; an error stops the tail.
+	apply func(ops []workload.Update) error
 
 	off atomic.Int64
 }
 
 // Offset returns the consumed byte offset of the ops file.
-func (t *Tailer) Offset() int64 { return t.off.Load() }
+func (t *tailer) Offset() int64 { return t.off.Load() }
 
-// Run tails until stop closes or Apply fails, returning the failure (nil
+// Run tails until stop closes or apply fails, returning the failure (nil
 // on a clean stop). The starting offset is loaded from the sidecar.
-func (t *Tailer) Run(stop <-chan struct{}) error {
+func (t *tailer) Run(stop <-chan struct{}) error {
 	t.off.Store(t.loadOffset())
-	tick := time.NewTicker(t.Poll)
+	tick := time.NewTicker(t.poll)
 	defer tick.Stop()
 	for {
 		select {
@@ -83,9 +78,9 @@ func (t *Tailer) Run(stop <-chan struct{}) error {
 
 // tailOnce reads any new complete lines past the current offset, applies
 // them, and persists the advanced offset.
-func (t *Tailer) tailOnce() error {
+func (t *tailer) tailOnce() error {
 	off := t.off.Load()
-	f, err := os.Open(t.OpsPath)
+	f, err := os.Open(t.opsPath)
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil // the stream has not started yet
@@ -98,7 +93,7 @@ func (t *Tailer) tailOnce() error {
 		return err
 	}
 	if st.Size() < off {
-		return fmt.Errorf("server: ops file %s shrank from %d to %d bytes", t.OpsPath, off, st.Size())
+		return fmt.Errorf("server: ops file %s shrank from %d to %d bytes", t.opsPath, off, st.Size())
 	}
 	if st.Size() == off {
 		return nil
@@ -115,10 +110,10 @@ func (t *Tailer) tailOnce() error {
 	}
 	ops, err := workload.ParseUpdates(bytes.NewReader(buf[:nl+1]))
 	if err != nil {
-		return fmt.Errorf("server: ops file %s at offset %d: %w", t.OpsPath, off, err)
+		return fmt.Errorf("server: ops file %s at offset %d: %w", t.opsPath, off, err)
 	}
 	if len(ops) > 0 {
-		if err := t.Apply(ops); err != nil {
+		if err := t.apply(ops); err != nil {
 			return err
 		}
 	}
@@ -133,14 +128,14 @@ func (t *Tailer) tailOnce() error {
 	return nil
 }
 
+// offsetPath is the sidecar persisting the consumed byte offset.
+func (t *tailer) offsetPath() string { return t.opsPath + ".offset" }
+
 // loadOffset reads the sidecar, falling back to zero — the replay-all
 // behavior — when it is absent, corrupt, or names an offset past the
 // current end of the ops file (a replaced stream).
-func (t *Tailer) loadOffset() int64 {
-	if t.OffsetPath == "" {
-		return 0
-	}
-	data, err := os.ReadFile(t.OffsetPath)
+func (t *tailer) loadOffset() int64 {
+	data, err := os.ReadFile(t.offsetPath())
 	if err != nil {
 		return 0
 	}
@@ -149,40 +144,19 @@ func (t *Tailer) loadOffset() int64 {
 	if _, err := fmt.Sscanf(strings.TrimSuffix(string(data), "\n"), "%s %d", &magic, &off); err != nil || magic != offsetMagic || off < 0 {
 		return 0
 	}
-	if st, err := os.Stat(t.OpsPath); err != nil || st.Size() < off {
+	if st, err := os.Stat(t.opsPath); err != nil || st.Size() < off {
 		return 0
 	}
 	return off
 }
 
-// persistOffset durably writes the sidecar: temp file, fsync, atomic
-// rename, directory fsync — all through faultfs so the crash sweeps
-// cover every byte of this path too.
-func (t *Tailer) persistOffset() error {
-	if t.OffsetPath == "" {
-		return nil
-	}
-	dir := filepath.Dir(t.OffsetPath)
-	f, err := faultfs.CreateTemp(dir, filepath.Base(t.OffsetPath)+".tmp*")
-	if err != nil {
+// persistOffset durably writes the sidecar through faultfs, so the crash
+// sweeps cover every byte of this path too.
+func (t *tailer) persistOffset() error {
+	return faultfs.WriteFileAtomic(t.offsetPath(), func(w io.Writer) error {
+		_, err := fmt.Fprintf(w, "%s %d\n", offsetMagic, t.off.Load())
 		return err
-	}
-	tmp := f.Name()
-	_, err = fmt.Fprintf(f, "%s %d\n", offsetMagic, t.off.Load())
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = faultfs.Rename(tmp, t.OffsetPath)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return faultfs.SyncDir(dir)
+	})
 }
 
 // tailLoop runs the server's tailer until Close or a write-path failure.
@@ -194,30 +168,20 @@ func (s *Server) tailLoop() {
 }
 
 // applyBatch applies one parsed batch under the write lock, journals the
-// ops that changed the instance, and triggers compaction when due.
+// ops that changed the instance, hands them to the backend, and compacts
+// (re-sharding the backend onto the new epoch) when the journal
+// outgrows CompactBytes.
 func (s *Server) applyBatch(ops []workload.Update) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var changed []repaircount.Delta
-	for _, op := range ops {
-		d := repaircount.Insert(op.Fact)
-		if op.Del {
-			d = repaircount.Delete(op.Fact)
-		}
-		n, err := s.snap.Apply(d)
-		if err != nil {
-			return fmt.Errorf("server: applying %s: %w", op.Fact, err)
-		}
-		if n > 0 {
-			changed = append(changed, d)
-		}
+	changed, err := ApplyOps(s.snap, s.cfg.SnapshotPath, ops)
+	if err != nil {
+		return fmt.Errorf("server: %w", err)
 	}
 	s.appliedOps.Add(int64(len(ops)))
-	if len(changed) > 0 {
-		if err := repaircount.AppendJournal(s.cfg.SnapshotPath, changed...); err != nil {
-			return fmt.Errorf("server: journaling %d ops: %w", len(changed), err)
-		}
-		s.journaled.Add(int64(len(changed)))
+	s.journaled.Add(int64(len(changed)))
+	if s.backend != nil && len(changed) > 0 {
+		s.backend.Stream(changed)
 	}
 	if s.cfg.CompactBytes > 0 {
 		// The mapped length is fixed at open, so the live journal size
@@ -227,9 +191,45 @@ func (s *Server) applyBatch(ops []workload.Update) error {
 			if err := s.compactLocked(); err != nil {
 				return fmt.Errorf("server: compacting: %w", err)
 			}
+			if s.backend != nil {
+				if err := s.backend.Reshard(s.snap, s.epoch); err != nil {
+					return fmt.Errorf("server: re-sharding: %w", err)
+				}
+			}
 		}
 	}
 	return nil
+}
+
+// ApplyOps applies one update batch through the snapshot's live instance
+// and journals the ops that changed it with an fsync'd append to the
+// snapshot file at path, returning those ops. The daemons' ops tail and
+// the shard worker's /v1/apply both run through here; the caller holds
+// the snapshot's write lock and degrades on an error, since the batch
+// may then be applied in memory but not journaled.
+func ApplyOps(snap *repaircount.Snapshot, path string, ops []workload.Update) ([]workload.Update, error) {
+	var changed []workload.Update
+	var deltas []repaircount.Delta
+	for _, op := range ops {
+		d := repaircount.Insert(op.Fact)
+		if op.Del {
+			d = repaircount.Delete(op.Fact)
+		}
+		n, err := snap.Apply(d)
+		if err != nil {
+			return nil, fmt.Errorf("applying %s: %w", op.Fact, err)
+		}
+		if n > 0 {
+			changed = append(changed, op)
+			deltas = append(deltas, d)
+		}
+	}
+	if len(deltas) > 0 {
+		if err := repaircount.AppendJournal(path, deltas...); err != nil {
+			return nil, fmt.Errorf("journaling %d ops: %w", len(deltas), err)
+		}
+	}
+	return changed, nil
 }
 
 // compactLocked rewrites the snapshot without its journal (atomic

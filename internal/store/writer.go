@@ -6,8 +6,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"os"
-	"path/filepath"
 	"sort"
 
 	"repaircount/internal/faultfs"
@@ -57,36 +55,13 @@ func WriteCRC(w io.Writer, db *relational.Database, ks *relational.KeySet, opts 
 // leaves either the old file intact or the new one complete, never a
 // half-written snapshot under the final name.
 func WriteFile(path string, db *relational.Database, ks *relational.KeySet) error {
-	dir := filepath.Dir(path)
-	f, err := faultfs.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	fail := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	bw := bufio.NewWriterSize(f, 1<<16)
-	if err := Write(bw, db, ks, DefaultOptions); err != nil {
-		return fail(err)
-	}
-	if err := bw.Flush(); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := faultfs.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return faultfs.SyncDir(dir)
+	return faultfs.WriteFileAtomic(path, func(w io.Writer) error {
+		bw := bufio.NewWriterSize(w, 1<<16)
+		if err := Write(bw, db, ks, DefaultOptions); err != nil {
+			return err
+		}
+		return bw.Flush()
+	})
 }
 
 // image is the fully-columnar in-memory form of a snapshot, ready to

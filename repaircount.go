@@ -211,8 +211,8 @@
 //
 // internal/server wraps the whole stack as a long-lived HTTP/JSON daemon
 // (`repairctl serve`): one mmapped snapshot, a bounded worker pool
-// answering /v1/count, /v1/decide, /v1/explain, /v1/rank and /v1/total
-// probes, with per-worker matcher and counter reuse over the shared live
+// answering /v1/count, /v1/prob, /v1/decide, /v1/explain, /v1/rank and
+// /v1/total probes, with per-worker matcher and counter reuse over the shared live
 // substrate. Three robustness layers make it safe to leave running:
 //
 //   - Admission ladder. Every count probe is priced before it runs, using
@@ -229,8 +229,8 @@
 //     Gray/masked walkers, the IE subset DFS, the enumeration fallback and
 //     the sampling loops poll it at a coarse stride — so an abandoned
 //     probe frees its workers within a bounded number of states.
-//     CountCtx / ApproximateParallelCtx / CountShardedCtx / CountPartialCtx
-//     expose the same plumbing here.
+//     CountCtx / ApproximateParallelCtx / CountPartialCtx expose the
+//     same plumbing here.
 //   - Crash safety. The daemon tails an append-only ops file, applies
 //     deltas through the live substrate, journals them with fsync'd
 //     AppendJournal, and compacts by atomic temp-file-plus-rename
@@ -246,13 +246,22 @@
 // internal/cluster scales the daemon out across the shard pipeline.
 // A worker (repairctl worker) maps exactly one shard .cqs and answers
 // /v1/partial with a digest-stamped CQSP-equivalent partial; a
-// coordinator (repairctl coordinate) owns the CQSM manifest and the
-// ops tail, prices every probe once with ExplainPlan (the admission
-// ladder is cluster-aware: the fleet critical path — the max over
-// workers of their components' summed planned cost — is what is
-// compared against the exact budget), and fans the partition query out
-// concurrently with core.Stop cancellation propagated on client
-// disconnect.
+// coordinator (repairctl coordinate) owns the full snapshot, the CQSM
+// manifest and the ops tail. The coordinator is not a second daemon: it
+// is a count backend (server.Backend) plugged into the same
+// server.Server that `repairctl serve` runs, so every endpoint, the
+// admission ladder, the probe cache, the ops tail, journaling and
+// compaction are one code path. The backend supplies only what differs:
+//
+//   - Count routing. For the partition query, a sound fan plan and a
+//     healthy, synced fleet, the exact rung is priced on the fleet
+//     critical path — the max over workers of their components' summed
+//     planned cost — and runs as a concurrent fan-out with core.Stop
+//     cancellation propagated on client disconnect. Every other probe,
+//     and every partition probe the fleet cannot serve, takes the
+//     single-node rungs on the coordinator's own snapshot.
+//   - Write-path hooks. Each journaled batch is routed to the workers
+//     it touches, and each compaction re-shards onto a new epoch.
 //
 // The distributed path is bit-exact or loudly refused, never
 // approximately merged:
@@ -278,12 +287,13 @@
 //
 // Worker failures degrade availability, not integrity: slow shards are
 // retried with bounded backoff, and if a worker stays down the
-// coordinator falls back to single-node local counting over its own
-// snapshot.
+// coordinator falls back to the local exact rung — the same CountCtx
+// the single-node daemon runs — and books the probe as a local
+// fallback with its reason.
 //
 // # Serve-path performance: the shared probe cache
 //
-// Both daemons put a bounded, concurrency-safe probe cache
+// The probe pipeline puts a bounded, concurrency-safe probe cache
 // (internal/server.ProbeCache) in front of the counting substrate, so
 // the hot path of a serving workload — the same queries probed again
 // and again between deltas — stops re-paying per-probe fixed costs
@@ -311,15 +321,17 @@
 // keeps the entry table at its configured size (repairctl
 // -cache-entries). /v1/stats exposes hit/miss/evict counters.
 //
-// The coordinator reuses the same cache for its local rungs and adds
+// Because both daemons run the one pipeline, the coordinator's local
+// rungs use this cache exactly as `serve` does. Its count backend adds
 // two fleet-level layers: merged fan-out results memoized per cut
 // (epoch, version), and per-worker partials remembered alongside.
-// Caching must not mask worker death, so fan-outs always contact every
-// worker — a probe sends the remembered (epoch, applied) stamp as
-// ?have=, the worker answers 204 No Content when its shard is
-// unchanged (skipping the recount and the wire transfer), and the
-// coordinator substitutes the memoized partial, which still passes the
-// full digest/epoch/applied verification ladder before any merge. The
+// Caching must not mask worker death, so a routed probe never answers
+// from the local result memo and fan-outs always contact every worker —
+// a probe sends the remembered (epoch, applied) stamp as ?have=, the
+// worker answers 204 No Content when its shard is unchanged (skipping
+// the recount and the wire transfer), and the coordinator substitutes
+// the memoized partial, which still passes the full
+// digest/epoch/applied verification ladder before any merge. The
 // merged-result memo is consulted only after that contact phase, so
 // fleet-health discovery behaves identically with and without the
 // cache. cmd/cqabench gates the payoff: a hot repeated probe must run
@@ -994,21 +1006,6 @@ func (c *Counter) PlanShards(k int) (*ShardPlan, error) { return c.inst.PlanShar
 // approximation.
 func (c *Counter) CountSharded(k, workers int) (*big.Int, error) {
 	return c.inst.CountSharded(k, workers)
-}
-
-// CountShardedCtx is CountSharded with cooperative cancellation threaded
-// through every per-shard job: when ctx is canceled the fleet's workers
-// observe the stop flag within a bounded number of states and the call
-// returns ctx.Err(). The count, when it completes, is identical to
-// CountSharded.
-func (c *Counter) CountShardedCtx(ctx context.Context, k, workers int) (*big.Int, error) {
-	stop, release := stopForCtx(ctx)
-	defer release()
-	n, err := c.inst.CountShardedStop(k, workers, stop)
-	if err == core.ErrStopped {
-		return nil, ctx.Err()
-	}
-	return n, err
 }
 
 // CountPartial computes this instance's shard partial — Inner = Π|B_i|
